@@ -23,6 +23,11 @@ the perf work delivers end-to-end:
   off (``serial_seconds``) vs on (``parallel_seconds``), so the
   ``--check`` budget doubles as the exporter-overhead gate.
 
+Cold-start cost is kept apart from these warm legs: ``results.cold``
+holds the seconds to build the 1q and 2q Clifford groups in a fresh
+interpreter (history series ``results.cold.clifford_build.seconds``),
+so ``--gate`` tracks it without it leaking into any workload's legs.
+
 Determinism spot-checks always compare the *shipped* configuration at 1
 worker against N workers (bitwise), never serial-leg vs parallel-leg —
 those are different configurations and agree only statistically.  On
@@ -54,6 +59,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -241,6 +247,26 @@ def bench_live_overhead(workers: int, fast: bool) -> dict:
     }
 
 
+def bench_cold_clifford_build() -> dict:
+    """Seconds to build both Clifford groups in a fresh interpreter.
+
+    The cold leg: every process tree pays this once, before any RB.  The
+    import is outside the timed region.
+    """
+    code = (
+        "import time\n"
+        "from repro.rb.clifford import clifford_group\n"
+        "started = time.perf_counter()\n"
+        "clifford_group(1)\n"
+        "clifford_group(2)\n"
+        "print(time.perf_counter() - started)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    return {"seconds": float(out.stdout.split()[-1])}
+
+
 WORKLOADS = {
     "campaign_one_hop_packed": bench_campaign,
     "trajectory_backend": bench_trajectories,
@@ -307,6 +333,11 @@ def main(argv=None) -> int:
                         help="do not append this run to the history store")
     args = parser.parse_args(argv)
 
+    print("[bench_perf] running cold clifford_build ...", flush=True)
+    cold = {"clifford_build": bench_cold_clifford_build()}
+    print(f"[bench_perf]   cold {cold['clifford_build']['seconds']:.3f}s",
+          flush=True)
+
     registry = MetricsRegistry()
     workloads = {}
     with push_registry(registry):
@@ -322,7 +353,7 @@ def main(argv=None) -> int:
         name="bench_perf_baseline",
         config={"fast": args.fast, "cpu_count": os.cpu_count()},
         workers=args.workers,
-        results={"workloads": workloads},
+        results={"workloads": workloads, "cold": cold},
     )
     write_manifest(manifest, str(args.out))
     print(f"[bench_perf] wrote {args.out} (run {manifest.run_id})")

@@ -51,6 +51,7 @@ from repro.obs.registry import get_registry
 from repro.parallel import ParallelEngine
 from repro.parallel.seeding import stable_entropy
 from repro.pipeline.trace import PipelineTrace, SpanRecorder
+from repro.rb.clifford import clifford_group
 from repro.rb.executor import RBConfig, RBExecutor, normalize_target
 from repro.resilience.checkpoint import JsonlCheckpoint
 from repro.resilience.degrade import CampaignCoverage, CoverageEntry
@@ -392,6 +393,11 @@ class CharacterizationCampaign:
             span.counters["campaign.pairs_measured"] = float(
                 plan.units_measured()
             )
+            # The Clifford groups RB draws from, built here, before the
+            # engine forks, so pool workers and the serial-fallback probe
+            # inherit them instead of each building its own.
+            clifford_group(1)
+            clifford_group(2)
         checkpoint = self._open_checkpoint(checkpoint, policy, day, on_mismatch)
         engine = ParallelEngine(
             workers if workers is not None else self.workers,

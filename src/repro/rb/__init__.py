@@ -6,9 +6,10 @@ pairs (Section 4.2).  This package implements the full protocol from
 scratch:
 
 * :mod:`repro.rb.clifford` — exact Clifford groups (24 single-qubit and
-  11520 two-qubit elements) enumerated by Dijkstra over generators, giving
-  every element a CNOT-minimal gate decomposition (average 1.5 CNOTs per
-  two-qubit Clifford, the figure the paper divides by) and exact inverses;
+  11520 two-qubit elements) enumerated level by level in (CNOT count,
+  gate count) order with batched tableau products, giving every element a
+  CNOT-minimal gate decomposition (average 1.5 CNOTs per two-qubit
+  Clifford, the figure the paper divides by) and exact inverses;
 * :mod:`repro.rb.sequences` — RB sequence construction: ``m`` random
   Cliffords followed by the group inverse, so ideal executions return to
   |00>;

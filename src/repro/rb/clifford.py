@@ -5,9 +5,15 @@ the generators ``X_0..X_{n-1}, Z_0..Z_{n-1}`` under ``P -> U P U†``.  Each
 image is a Pauli stored as an (x|z) bit row plus a phase exponent ``e``
 (the Pauli is ``i**e * X^x Z^z``; Hermiticity forces ``e ≡ x·z (mod 2)``).
 
-The full group is enumerated by Dijkstra from the identity over the
-generator set {H, S, Sdg} per qubit plus both CNOT orientations, with
-lexicographic cost (CNOT count, total gates).  This yields
+The full group is enumerated outward from the identity over the generator
+set {H, S, Sdg} per qubit plus both CNOT orientations, with lexicographic
+cost (CNOT count, total gates).  The enumeration is cost-layered: it visits
+the ``(cnots, gates)`` levels in order and each level's elements in
+:meth:`~CliffordTableau.key` order, composing a whole level with every
+generator in one batched GF(2) product.  An element keeps the decomposition
+of its first reach at minimum cost, ties going to the lowest (parent rank,
+generator index) — the rule of a Dijkstra search keyed on (cost, key).
+Elements are indexed in key order.  This yields
 
 * the single-qubit group: 24 elements, no CNOTs;
 * the two-qubit group: 11520 elements with the known CNOT-cost profile
@@ -28,6 +34,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.obs.registry import get_registry
+from repro.obs.trace import span as obs_span
+
 
 class CliffordTableau:
     """Conjugation tableau of an n-qubit Clifford unitary."""
@@ -41,6 +50,17 @@ class CliffordTableau:
             raise ValueError("tableau matrix must be 2n x 2n")
         self.num_qubits = self.mat.shape[0] // 2
         self._swaps: Optional[np.ndarray] = None
+
+    @classmethod
+    def _wrap(cls, mat: np.ndarray, phase: np.ndarray) -> "CliffordTableau":
+        """A tableau over arrays already in canonical form (uint8, mat
+        entries in {0, 1}, phases in {0..3}), skipping ``__init__``'s
+        normalizing copies; the group build wraps 11520 of them."""
+        tab = cls.__new__(cls)
+        tab.mat, tab.phase = mat, phase
+        tab.num_qubits = mat.shape[0] // 2
+        tab._swaps = None
+        return tab
 
     def _swap_matrix(self) -> np.ndarray:
         """Strict upper triangle of ``Z @ X^T`` — anticommutation swaps
@@ -232,6 +252,34 @@ def _gate_tableau(num_qubits: int, name: str, qubits: Tuple[int, ...]) -> Cliffo
     return CliffordTableau(mat, phase)
 
 
+def _code_shifts(n2: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Bit offsets of the matrix entries and the phases in a tableau code.
+
+    A code reads a tableau's :meth:`~CliffordTableau.key` bytes as
+    big-endian digits (one bit per matrix entry, then two bits per phase),
+    so codes sort exactly as keys do.
+    """
+    mat_shift = 2 * n2 + np.arange(n2 * n2 - 1, -1, -1, dtype=np.int64)
+    phase_shift = 2 * np.arange(n2 - 1, -1, -1, dtype=np.int64)
+    return mat_shift, phase_shift
+
+
+def _encode(mat: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Codes of stacked int64 tableaux, ``mat`` (..., 2n, 2n) and
+    ``phase`` (..., 2n)."""
+    mat_shift, phase_shift = _code_shifts(phase.shape[-1])
+    return ((mat.reshape(*phase.shape[:-1], -1) << mat_shift).sum(-1)
+            + (phase << phase_shift).sum(-1))
+
+
+def _decode(codes: np.ndarray, n2: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`_encode`: uint8 matrices (N, 2n, 2n) and phases."""
+    mat_shift, phase_shift = _code_shifts(n2)
+    mat = (codes[:, None] >> mat_shift) & 1
+    phase = (codes[:, None] >> phase_shift) & 3
+    return (mat.reshape(-1, n2, n2).astype(np.uint8), phase.astype(np.uint8))
+
+
 @dataclass(frozen=True)
 class CliffordElement:
     """One group element: its tableau and a CNOT-minimal decomposition."""
@@ -266,45 +314,97 @@ class CliffordGroup:
         return gens
 
     def _enumerate(self) -> None:
+        n2 = 2 * self.num_qubits
         gens = self._generators()
-        gen_tabs = {
-            g: _gate_tableau(self.num_qubits, g[0], g[1]) for g in gens
-        }
-        identity = CliffordTableau.identity(self.num_qubits)
-        # Dijkstra with cost (cnot_count, gate_count): guarantees the
-        # decompositions are CNOT-minimal.
-        best: Dict[bytes, Tuple[int, int]] = {identity.key(): (0, 0)}
-        entry: Dict[bytes, Tuple[Optional[bytes], Optional[Tuple[str, Tuple[int, ...]]], CliffordTableau]] = {
-            identity.key(): (None, None, identity)
-        }
-        heap: List[Tuple[int, int, bytes]] = [(0, 0, identity.key())]
-        while heap:
-            cnots, ngates, key = heapq.heappop(heap)
-            if (cnots, ngates) != best[key]:
-                continue
-            tab = entry[key][2]
-            for gate in gens:
-                nxt = tab.compose(gen_tabs[gate])
-                nkey = nxt.key()
-                ncost = (cnots + (1 if gate[0] == "cx" else 0), ngates + 1)
-                if nkey not in best or ncost < best[nkey]:
-                    best[nkey] = ncost
-                    entry[nkey] = (key, gate, nxt)
-                    heapq.heappush(heap, (ncost[0], ncost[1], nkey))
+        gen_tabs = [_gate_tableau(self.num_qubits, *g) for g in gens]
+        # Generator g occupies columns g*n2 .. g*n2+n2-1, so one matrix
+        # product composes a node with every generator.  Float64 products
+        # of these small integers are exact and run on BLAS.
+        right = np.concatenate([t.mat for t in gen_tabs], axis=1).astype(float)
+        right_swaps = np.concatenate(
+            [t._swap_matrix() for t in gen_tabs], axis=1
+        ).astype(float)
+        right_phase = np.stack([t.phase for t in gen_tabs], 1).astype(float)
+        is_cx = np.array([name == "cx" for name, _ in gens])
+        # A child lands on level (cnots + [generator is a CNOT], gates + 1).
+        steps = [(np.flatnonzero(~is_cx), 0), (np.flatnonzero(is_cx), 1)]
 
-        for key in sorted(best):
-            gates: List[Tuple[str, Tuple[int, ...]]] = []
-            cursor = key
-            while entry[cursor][1] is not None:
-                parent, gate, _ = entry[cursor]
-                gates.append(gate)
-                cursor = parent
-            gates.reverse()
-            idx = len(self.elements)
-            self.elements.append(
-                CliffordElement(idx, entry[key][2], tuple(gates))
+        # pending[level] lists (codes, parent ranks, generator indices) of
+        # the children reaching that level, in Dijkstra's relaxation order:
+        # source level, then parent key, then generator index.
+        identity = _encode(np.eye(n2, dtype=np.int64)[None],
+                           np.zeros((1, n2), dtype=np.int64))
+        pending = {(0, 0): [(identity, np.array([-1]), np.array([-1]))]}
+        queue = [(0, 0)]
+        # Sorted codes of every finalized level; the sentinel above every
+        # code keeps searchsorted in range.
+        seen = np.array([np.iinfo(np.int64).max])
+        codes: List[np.ndarray] = []
+        parents: List[np.ndarray] = []
+        via: List[np.ndarray] = []
+        count = 0
+        while queue:
+            cnots, ngates = level = heapq.heappop(queue)
+            chunks = pending.pop(level)
+            # First reach of each code is the tie winner: the earliest
+            # (parent rank, generator index) at the minimum cost.
+            level_codes, first = np.unique(
+                np.concatenate([c for c, _, _ in chunks]), return_index=True
             )
-            self._index_of[key] = idx
+            fresh = seen[np.searchsorted(seen, level_codes)] != level_codes
+            level_codes, first = level_codes[fresh], first[fresh]
+            if not len(level_codes):
+                continue
+            codes.append(level_codes)
+            parents.append(np.concatenate([p for _, p, _ in chunks])[first])
+            via.append(np.concatenate([g for _, _, g in chunks])[first])
+            seen = np.sort(np.concatenate([seen, level_codes]))
+            ranks = count + np.arange(len(level_codes))
+            count += len(level_codes)
+
+            # The batched form of CliffordTableau.compose, level x generators
+            # (``& 1`` and ``& 3`` are the mod 2 and mod 4 of nonnegatives).
+            mat, phase = _decode(level_codes, n2)
+            rows = mat.reshape(-1, n2).astype(float)
+            shape = (len(level_codes), n2, len(gens), n2)
+            child_mat = (rows @ right).astype(np.int64).reshape(shape) & 1
+            anticommutations = (
+                (rows @ right_swaps).reshape(shape) * mat[:, :, None]
+            ).sum(-1)
+            child_phase = (
+                phase[:, :, None]
+                + (rows @ right_phase).reshape(shape[:3])
+                + 2 * anticommutations
+            ).astype(np.int64) & 3
+            child = _encode(child_mat.transpose(0, 2, 1, 3),
+                            child_phase.transpose(0, 2, 1))
+            for sub, extra in steps:
+                if not len(sub):
+                    continue
+                target = (cnots + extra, ngates + 1)
+                if target not in pending:
+                    pending[target] = []
+                    heapq.heappush(queue, target)
+                pending[target].append((
+                    child[:, sub].ravel(),
+                    np.repeat(ranks, len(sub)),
+                    np.tile(sub, len(ranks)),
+                ))
+
+        all_codes = np.concatenate(codes)
+        decomposition: List[Tuple[Tuple[str, Tuple[int, ...]], ...]] = [()]
+        for parent, gen in zip(np.concatenate(parents)[1:].tolist(),
+                               np.concatenate(via)[1:].tolist()):
+            decomposition.append(decomposition[parent] + (gens[gen],))
+
+        order = np.argsort(all_codes)
+        mats, phases = _decode(all_codes[order], n2)
+        for idx, rank in enumerate(order.tolist()):
+            tab = CliffordTableau._wrap(mats[idx], phases[idx])
+            self.elements.append(
+                CliffordElement(idx, tab, decomposition[rank])
+            )
+            self._index_of[tab.key()] = idx
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -340,5 +440,14 @@ class CliffordGroup:
 
 @lru_cache(maxsize=None)
 def clifford_group(num_qubits: int) -> CliffordGroup:
-    """Cached group instances (enumeration of the 2q group takes seconds)."""
-    return CliffordGroup(num_qubits)
+    """Cached group instances.
+
+    A cache miss builds the group inside an ``rb.clifford.build`` span, so
+    the one-off cost shows as its own layer rather than inside whichever
+    stage asked first; its seconds also feed the
+    ``rb.clifford.build_seconds`` histogram.
+    """
+    with obs_span("rb.clifford.build") as record:
+        group = CliffordGroup(num_qubits)
+    get_registry().observe("rb.clifford.build_seconds", record.seconds)
+    return group

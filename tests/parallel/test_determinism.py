@@ -21,6 +21,7 @@ from repro.experiments.common import (
     prepare_circuit,
     tomography_error,
 )
+from repro.rb.clifford import clifford_group
 from repro.rb.executor import RBConfig, RBExecutor
 from repro.workloads.swap import swap_benchmark
 
@@ -49,6 +50,22 @@ class TestCampaignWorkerIndependence:
         pooled = campaign.run(CharacterizationPolicy.ONE_HOP_PACKED, workers=4)
         assert serial.report.independent == pooled.report.independent
         assert serial.report.conditional == pooled.report.conditional
+
+    def test_pool_workers_inherit_groups_built_in_parent(
+            self, poughkeepsie, monkeypatch):
+        # Without a pre-build in the parent, every forked worker of every
+        # campaign paid the full group build again.
+        monkeypatch.setenv("REPRO_MIN_PARALLEL_SECONDS", "0")
+        clifford_group.cache_clear()
+        campaign = CharacterizationCampaign(
+            poughkeepsie, rb_config=_TINY_RB, seed=3
+        )
+        pooled = campaign.run(CharacterizationPolicy.ONE_HOP_PACKED, workers=2)
+        assert clifford_group.cache_info().currsize == 2
+        build = pooled.trace.span("plan").children
+        assert [child.name for child in build] == ["rb.clifford.build"] * 2
+        serial = campaign.run(CharacterizationPolicy.ONE_HOP_PACKED, workers=1)
+        assert serial.report.to_json() == pooled.report.to_json()
 
     def test_trace_reports_parallel_counters(self, poughkeepsie):
         campaign = CharacterizationCampaign(

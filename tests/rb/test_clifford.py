@@ -1,10 +1,10 @@
 """Tests for Clifford tableaus and group enumeration.
 
-The 2-qubit group fixture is session-scoped (enumeration takes a few
-seconds); the algebraic identities checked here are the foundations RB
-correctness rests on.
+The 2-qubit group fixture is session-scoped; the algebraic identities
+checked here are the foundations RB correctness rests on.
 """
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rb.clifford import CliffordGroup, CliffordTableau, _gate_tableau
+from repro.rb.clifford import (
+    CliffordGroup, CliffordTableau, _gate_tableau, clifford_group,
+)
 from repro.sim.statevector import Statevector
 from repro.sim.unitaries import pauli_matrix
 
@@ -36,6 +38,32 @@ class TestGroupOrders:
     def test_unsupported_sizes(self):
         with pytest.raises(ValueError):
             CliffordGroup(3)
+
+
+class TestEnumerationPin:
+    """Element order and decompositions are pinned bitwise: RB sequences
+    draw elements by index, so any change to either changes every
+    measured error rate."""
+
+    DIGESTS = {
+        1: "d6960f2e1928b4b3e497638ffb328ab419ba8a12dc7ec153567a887eba36c85c",
+        2: "07ad549b80cf45dfa948309f1edfd26f6157b5a443810050dfac89cf11f3295b",
+    }
+
+    @pytest.mark.parametrize("num_qubits", [1, 2])
+    def test_elements_match_pinned_digest(self, num_qubits):
+        group = clifford_group(num_qubits)
+        digest = hashlib.sha256()
+        for el in group.elements:
+            digest.update(el.tableau.key())
+            digest.update(repr(el.gates).encode())
+        assert digest.hexdigest() == self.DIGESTS[num_qubits]
+
+    @pytest.mark.parametrize("num_qubits", [1, 2])
+    def test_index_of_round_trips(self, num_qubits):
+        group = clifford_group(num_qubits)
+        for el in group.elements:
+            assert group.index_of(el.tableau) == el.index
 
 
 class TestTableauAlgebra:
