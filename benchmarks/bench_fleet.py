@@ -40,24 +40,25 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
+
+from benchmarks.harness import (  # noqa: E402
+    add_history_arguments,
+    record_and_gate,
+)
 
 from repro.fleet.soak import SoakConfig, _controller, run_soak  # noqa: E402
 from repro.obs import (  # noqa: E402
     LivePlane,
     MetricsRegistry,
-    RunHistory,
     RunManifest,
     RunRecord,
     default_fleet_rules,
-    diff_records,
-    format_diff,
     push_registry,
 )
 from repro.rb.executor import RBConfig  # noqa: E402
 
 DEFAULT_OUT = REPO_ROOT / "benchmarks" / "results" / "BENCH_fleet.json"
-DEFAULT_HISTORY = REPO_ROOT / "benchmarks" / "results" / "history.jsonl"
 
 
 def live_probe(config: SoakConfig) -> tuple:
@@ -118,13 +119,7 @@ def main(argv=None) -> int:
     parser.add_argument("--fault-rate", type=float, default=0.22)
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT,
                         help=f"output path (default {DEFAULT_OUT})")
-    parser.add_argument("--gate", type=int, default=None, metavar="N",
-                        help="diff this run against the last N history "
-                             "records and exit nonzero on regressions")
-    parser.add_argument("--history", type=Path, default=DEFAULT_HISTORY,
-                        help=f"history store (default {DEFAULT_HISTORY})")
-    parser.add_argument("--no-history", action="store_true",
-                        help="do not append this run to the history store")
+    add_history_arguments(parser)
     args = parser.parse_args(argv)
 
     print("[bench_fleet] running the soak triple "
@@ -180,13 +175,7 @@ def main(argv=None) -> int:
         extra_series=series,
         documents={"scorecard": result.scorecard.to_dict()},
     )
-    history = RunHistory(str(args.history))
-    baseline_window = history.last(args.gate, name=record.name) \
-        if args.gate else []
-    if not args.no_history:
-        history.append(record)
-        print(f"[bench_fleet] appended run {record.run_id} to "
-              f"{history.path} ({len(history)} records)")
+    gate_failures = record_and_gate(record, args, "bench_fleet")
 
     failures = [
         f"soak check failed: {name} ({detail})"
@@ -198,23 +187,7 @@ def main(argv=None) -> int:
             "enabled — the plane must be a pure observer"
         )
 
-    if args.gate:
-        if record.git_dirty:
-            print(f"[bench_fleet] WARNING: this run ({record.run_id}) was "
-                  "produced on a dirty working tree; regenerate the "
-                  "baseline from a clean tree", file=sys.stderr)
-        if not baseline_window:
-            print(f"[bench_fleet] gate: no prior {record.name!r} records "
-                  f"in {history.path}; nothing to compare", file=sys.stderr)
-        else:
-            diff = diff_records(baseline_window, record)
-            print(format_diff(diff))
-            for regression in diff.regressions:
-                failures.append(
-                    f"history gate: {regression.name} regressed "
-                    f"({regression.baseline!r} -> {regression.candidate!r})"
-                )
-
+    failures += gate_failures
     for failure in failures:
         print(f"[bench_fleet] FAIL {failure}", file=sys.stderr)
     return 1 if failures else 0

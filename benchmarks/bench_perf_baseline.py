@@ -45,10 +45,10 @@ Run directly (not through pytest)::
 ``--check X`` exits nonzero if any workload's parallel leg is
 slower than ``X`` times its serial leg — the CI perf-smoke gate,
 implemented as a :mod:`repro.obs.diff` against a synthetic budget
-baseline.  ``--gate N`` diffs this run against the last *N* history
-records of the same name (``benchmarks/results/history.jsonl`` by
-default) with the noise-aware comparator and exits nonzero on any
-regression.  Every run appends its summary record to the history store
+baseline.  ``--gate N`` diffs this run against the last *N* comparable
+history records — same name, ``--workers`` and config (``fast``,
+``cpu_count``) — in ``benchmarks/results/history.jsonl`` by default,
+with the noise-aware comparator, and exits nonzero on any regression.  Every run appends its summary record to the history store
 unless ``--no-history`` is given; gating against a record produced on a
 dirty working tree prints a warning (regenerate the baseline from a
 clean tree instead of committing drifting numbers).
@@ -66,7 +66,13 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
+
+from benchmarks.harness import (  # noqa: E402
+    add_history_arguments,
+    record_and_gate,
+    warn_if_dirty,
+)
 
 from repro.core.characterization.campaign import (  # noqa: E402
     CharacterizationCampaign,
@@ -84,12 +90,10 @@ from repro.obs import (  # noqa: E402
     DiffThresholds,
     LivePlane,
     MetricsRegistry,
-    RunHistory,
     RunManifest,
     RunRecord,
     default_fleet_rules,
     diff_records,
-    format_diff,
     push_registry,
     write_manifest,
 )
@@ -98,7 +102,6 @@ from repro.rb.executor import RBConfig  # noqa: E402
 from repro.workloads.swap import swap_benchmark  # noqa: E402
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_perf.json"
-DEFAULT_HISTORY = REPO_ROOT / "benchmarks" / "results" / "history.jsonl"
 
 
 def _timed(fn):
@@ -299,15 +302,6 @@ def check_budget_diff(workloads: dict, check: float):
     return diff_records(budget, measured, zero)
 
 
-def _warn_if_dirty(record: RunRecord, label: str) -> None:
-    """Satellite of the dirty-manifest policy: gating against numbers
-    produced on an uncommitted tree is unreliable — say so."""
-    if record.git_dirty:
-        print(f"[bench_perf] WARNING: {label} (run {record.run_id}) was "
-              "produced on a dirty working tree; regenerate from a clean "
-              "tree before trusting the gate", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--fast", action="store_true",
@@ -324,13 +318,7 @@ def main(argv=None) -> int:
                         help="exit nonzero if workload NAME's speedup is "
                              "below X (repeatable; e.g. "
                              "--floor campaign_one_hop_packed=3)")
-    parser.add_argument("--gate", type=int, default=None, metavar="N",
-                        help="diff this run against the last N history "
-                             "records and exit nonzero on regressions")
-    parser.add_argument("--history", type=Path, default=DEFAULT_HISTORY,
-                        help=f"history store (default {DEFAULT_HISTORY})")
-    parser.add_argument("--no-history", action="store_true",
-                        help="do not append this run to the history store")
+    add_history_arguments(parser)
     args = parser.parse_args(argv)
 
     print("[bench_perf] running cold clifford_build ...", flush=True)
@@ -360,13 +348,7 @@ def main(argv=None) -> int:
 
     record = RunRecord.from_artifacts(manifest=manifest.to_dict(),
                                       metrics=registry.snapshot())
-    history = RunHistory(str(args.history))
-    baseline_window = history.last(args.gate, name=record.name) \
-        if args.gate else []
-    if not args.no_history:
-        history.append(record)
-        print(f"[bench_perf] appended run {record.run_id} to {history.path} "
-              f"({len(history)} records)")
+    gate_failures = record_and_gate(record, args, "bench_perf")
 
     failures = []
     for name, entry in workloads.items():
@@ -387,7 +369,7 @@ def main(argv=None) -> int:
             )
 
     if args.check is not None:
-        _warn_if_dirty(record, "this run")
+        warn_if_dirty(record, "this run", "bench_perf")
         diff = check_budget_diff(workloads, args.check)
         for regression in diff.regressions:
             failures.append(
@@ -396,22 +378,7 @@ def main(argv=None) -> int:
                 f"({regression.baseline:.2f}s)"
             )
 
-    if args.gate:
-        _warn_if_dirty(record, "this run")
-        if not baseline_window:
-            print(f"[bench_perf] gate: no prior {record.name!r} records in "
-                  f"{history.path}; nothing to compare", file=sys.stderr)
-        else:
-            for prior in baseline_window:
-                _warn_if_dirty(prior, "baseline record")
-            diff = diff_records(baseline_window, record)
-            print(format_diff(diff))
-            for regression in diff.regressions:
-                failures.append(
-                    f"history gate: {regression.name} regressed "
-                    f"({regression.baseline!r} -> {regression.candidate!r})"
-                )
-
+    failures += gate_failures
     for failure in failures:
         print(f"[bench_perf] FAIL {failure}", file=sys.stderr)
     return 1 if failures else 0

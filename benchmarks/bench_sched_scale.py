@@ -48,7 +48,12 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
+
+from benchmarks.harness import (  # noqa: E402
+    add_history_arguments,
+    record_and_gate,
+)
 
 from repro.circuit.circuit import QuantumCircuit  # noqa: E402
 from repro.core.scheduling.xtalk import (  # noqa: E402
@@ -63,18 +68,14 @@ from repro.device.presets import (  # noqa: E402
 from repro.experiments.common import ground_truth_report  # noqa: E402
 from repro.obs import (  # noqa: E402
     MetricsRegistry,
-    RunHistory,
     RunManifest,
     RunRecord,
-    diff_records,
-    format_diff,
     push_registry,
     write_manifest,
 )
 from repro.workloads.supremacy import supremacy_circuit  # noqa: E402
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_sched_scale.json"
-DEFAULT_HISTORY = REPO_ROOT / "benchmarks" / "results" / "history.jsonl"
 
 #: Windowed/portfolio must land within 5% of the exact objective.
 GAP_TOLERANCE = 0.05
@@ -153,13 +154,6 @@ def bench_gap() -> dict:
     }
 
 
-def _warn_if_dirty(record: RunRecord, label: str) -> None:
-    if record.git_dirty:
-        print(f"[bench_sched] WARNING: {label} (run {record.run_id}) was "
-              "produced on a dirty working tree; regenerate from a clean "
-              "tree before trusting the gate", file=sys.stderr)
-
-
 def check_workloads(workloads: dict) -> list:
     """The correctness gates: completion, recorded reasons, tight gaps."""
     failures = []
@@ -197,13 +191,7 @@ def main(argv=None) -> int:
                              "(CI smoke mode)")
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT,
                         help=f"output path (default {DEFAULT_OUT})")
-    parser.add_argument("--gate", type=int, default=None, metavar="N",
-                        help="diff this run against the last N history "
-                             "records and exit nonzero on regressions")
-    parser.add_argument("--history", type=Path, default=DEFAULT_HISTORY,
-                        help=f"history store (default {DEFAULT_HISTORY})")
-    parser.add_argument("--no-history", action="store_true",
-                        help="do not append this run to the history store")
+    add_history_arguments(parser)
     args = parser.parse_args(argv)
 
     registry = MetricsRegistry()
@@ -246,32 +234,11 @@ def main(argv=None) -> int:
 
     record = RunRecord.from_artifacts(manifest=manifest.to_dict(),
                                       metrics=registry.snapshot())
-    history = RunHistory(str(args.history))
-    baseline_window = history.last(args.gate, name=record.name) \
-        if args.gate else []
-    if not args.no_history:
-        history.append(record)
-        print(f"[bench_sched] appended run {record.run_id} to "
-              f"{history.path} ({len(history)} records)")
+    gate_failures = record_and_gate(record, args, "bench_sched")
 
     failures = check_workloads(workloads)
 
-    if args.gate:
-        _warn_if_dirty(record, "this run")
-        if not baseline_window:
-            print(f"[bench_sched] gate: no prior {record.name!r} records in "
-                  f"{history.path}; nothing to compare", file=sys.stderr)
-        else:
-            for prior in baseline_window:
-                _warn_if_dirty(prior, "baseline record")
-            diff = diff_records(baseline_window, record)
-            print(format_diff(diff))
-            for regression in diff.regressions:
-                failures.append(
-                    f"history gate: {regression.name} regressed "
-                    f"({regression.baseline!r} -> {regression.candidate!r})"
-                )
-
+    failures += gate_failures
     for failure in failures:
         print(f"[bench_sched] FAIL {failure}", file=sys.stderr)
     return 1 if failures else 0

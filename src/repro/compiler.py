@@ -19,7 +19,7 @@ from repro.core.scheduling.xtalk import ScheduledCircuit
 from repro.device.device import Device
 from repro.pipeline.context import PassContext
 from repro.pipeline.runner import Pipeline, build_compile_pipeline
-from repro.pipeline.trace import PipelineTrace
+from repro.obs.trace import PipelineTrace
 
 SCHEDULER_CHOICES = ("xtalk", "par", "serial", "disable")
 

@@ -50,7 +50,7 @@ from repro.obs.live.heartbeat import heartbeat, heartbeat_step
 from repro.obs.registry import get_registry
 from repro.parallel import ParallelEngine
 from repro.parallel.seeding import stable_entropy
-from repro.pipeline.trace import PipelineTrace, SpanRecorder
+from repro.obs.trace import PipelineTrace, SpanRecorder
 from repro.rb.clifford import clifford_group
 from repro.rb.executor import RBConfig, RBExecutor, normalize_target
 from repro.resilience.checkpoint import JsonlCheckpoint
@@ -94,7 +94,7 @@ class CampaignOutcome:
 
     ``trace`` reports per-stage wall time and counters (planning,
     independent RB, pair SRB) in the same
-    :class:`~repro.pipeline.trace.PipelineTrace` format the compile
+    :class:`~repro.obs.trace.PipelineTrace` format the compile
     pipeline emits, so campaign cost and compile cost read identically.
 
     ``coverage`` annotates every planned unit as fresh, stale, or missing

@@ -27,7 +27,7 @@ from repro.metrics.tomography import bell_state_vector
 from repro.parallel import ParallelEngine
 from repro.pipeline.cache import ResultCache, campaign_cache_key
 from repro.pipeline.context import PassContext
-from repro.pipeline.trace import SpanRecorder
+from repro.obs.trace import SpanRecorder
 from repro.pipeline.passes import scheduling_pass
 from repro.pipeline.runner import Pipeline
 from repro.rb.executor import RBConfig
@@ -130,7 +130,7 @@ def prepare_circuit(scheduler: str, circuit: QuantumCircuit, device: Device,
 
     Runs a one-pass :class:`~repro.pipeline.runner.Pipeline` so every
     figure driver gets per-pass instrumentation for free (traces flow to
-    any active :class:`~repro.pipeline.trace.TraceCollector`).
+    any active :class:`~repro.obs.trace.TraceCollector`).
     """
     if scheduler not in SCHEDULERS:
         raise ValueError(

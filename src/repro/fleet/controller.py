@@ -55,7 +55,7 @@ from repro.obs.live.plane import get_plane
 from repro.obs.registry import get_registry
 from repro.obs.scorecard import DriftDay, Scorecard, drift_scorecard
 from repro.parallel.seeding import stable_entropy
-from repro.pipeline.trace import PipelineTrace, SpanRecorder
+from repro.obs.trace import PipelineTrace, SpanRecorder
 from repro.rb.executor import RBConfig
 from repro.resilience.checkpoint import JsonlCheckpoint
 from repro.resilience.degrade import carried_forward_coverage

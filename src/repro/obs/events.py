@@ -22,11 +22,12 @@ sink: it buffers events in memory and can stream them to a file as
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Iterator, List, Optional
+
+from . import jsonl
 
 #: Schema identifier embedded in every event record.
 EVENTS_SCHEMA = "repro.obs.events/v1"
@@ -69,50 +70,23 @@ class EventLog:
     def to_jsonl(self) -> str:
         """The buffer as JSON-lines text (one record per line)."""
         with self._lock:
-            return "\n".join(json.dumps(e, sort_keys=True)
-                             for e in self.events)
+            return "".join(jsonl.encode(e) for e in self.events).rstrip("\n")
 
     def write(self, path: str) -> None:
-        """Dump the buffer to ``path`` as an ``events.jsonl`` file."""
-        text = self.to_jsonl()
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            if text:
-                handle.write("\n")
+        """Dump the buffer to ``path`` as an ``events.jsonl`` file, atomically."""
+        jsonl.rewrite(path, list(self))
 
 
-def read_events(path: str, *, strict: bool = False) -> List[dict]:
+def read_events(path: str) -> List[dict]:
     """Parse an ``events.jsonl`` file back into a list of records.
 
-    Tolerates corrupt or torn lines the way ``obs.history`` does: a line
-    that is not valid JSON, or not a JSON object (a writer killed
-    mid-append leaves a torn tail), is skipped and counted on the
-    process-wide ``obs.events.corrupt_lines`` counter — so a dead
-    writer's file never poisons a live reader.  ``strict=True`` restores
-    the historical raise-on-garbage behavior.
+    Damaged lines follow the :mod:`~repro.obs.jsonl` policy: a line that
+    is not a JSON object (a writer killed mid-append leaves a torn tail)
+    is skipped and counted on the process-wide
+    ``obs.events.corrupt_lines`` counter — so a dead writer's file never
+    poisons a live reader.
     """
-    records = []
-    corrupt = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                if strict:
-                    raise
-                corrupt += 1
-                continue
-            if not isinstance(record, dict):
-                if strict:
-                    raise ValueError(
-                        f"{path}: event line is not an object: {line[:80]!r}"
-                    )
-                corrupt += 1
-                continue
-            records.append(record)
+    records, corrupt = jsonl.read(path)
     if corrupt:
         # Local import: this module stays import-free at the top level so
         # any layer can use it without cycles.

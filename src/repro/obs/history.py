@@ -30,12 +30,11 @@ most recent *N* records per run name, rewrite atomically.
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Union
 
+from . import jsonl
 from .manifest import MANIFEST_SCHEMA
 from .registry import METRICS_SCHEMA
 from .trace import TRACE_SCHEMA, TRACE_SCHEMA_V1, Trace, read_trace
@@ -174,10 +173,11 @@ class RunRecord:
                        ) -> "RunRecord":
         """Build one record from a run's standard artefact documents.
 
-        ``manifest`` supplies identity (run id, name, git, workers) and the
-        ``results.*`` series; ``metrics`` and ``trace`` add their summaries
-        (see :func:`summarize_metrics` / :func:`summarize_trace`);
-        ``extra_series`` and ``documents`` are merged in last.
+        ``manifest`` supplies identity (run id, name, git, workers), the
+        ``results.*`` series and ``documents["config"]``; ``metrics`` and
+        ``trace`` add their summaries (see :func:`summarize_metrics` /
+        :func:`summarize_trace`); ``extra_series`` and ``documents`` are
+        merged in last.
         """
         manifest = manifest or {}
         series: Dict[str, float] = {}
@@ -188,6 +188,9 @@ class RunRecord:
             series.update(summarize_trace(trace))
         if extra_series:
             series.update({k: float(v) for k, v in extra_series.items()})
+        documents = dict(documents or {})
+        if manifest.get("config"):
+            documents.setdefault("config", manifest["config"])
         return cls(
             run_id=manifest.get("run_id", "unknown"),
             name=manifest.get("name", "unnamed"),
@@ -195,7 +198,7 @@ class RunRecord:
             git=manifest.get("git"),
             workers=manifest.get("workers"),
             series=series,
-            documents=dict(documents or {}),
+            documents=documents,
         )
 
 
@@ -232,10 +235,9 @@ def load_run_record(source: Union[str, dict]) -> RunRecord:
 class RunHistory:
     """An append-only JSON-lines store of :class:`RunRecord` lines.
 
-    The store is a plain file: appends are one ``write`` of one line (safe
-    to interleave from sequential CI jobs), reads tolerate corrupt or
-    foreign lines (skipped and counted, never fatal), and
-    :meth:`compact` rewrites the file atomically for retention.
+    The store is a plain :mod:`~repro.obs.jsonl` file: appends repair a
+    torn tail, then write one line; reads skip and count corrupt or
+    foreign lines; :meth:`compact` rewrites the file atomically.
     """
 
     def __init__(self, path: str):
@@ -248,13 +250,9 @@ class RunHistory:
 
     # ------------------------------------------------------------------
     def append(self, record: RunRecord) -> RunRecord:
-        """Append one record (creating the store and its directory)."""
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        line = json.dumps(record.to_dict(), sort_keys=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+        """Append one record (creating the store; repairing a torn tail)."""
+        jsonl.repair_tail(self.path)
+        jsonl.append(self.path, [record.to_dict()])
         return record
 
     # ------------------------------------------------------------------
@@ -265,19 +263,16 @@ class RunHistory:
         carry a foreign schema are skipped and counted in
         :attr:`corrupt_lines`.
         """
-        out: List[RunRecord] = []
         self.corrupt_lines = 0
         if not os.path.exists(self.path):
-            return out
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    out.append(RunRecord.from_dict(json.loads(line)))
-                except (ValueError, KeyError, TypeError):
-                    self.corrupt_lines += 1
+            return []
+        docs, self.corrupt_lines = jsonl.read(self.path)
+        out: List[RunRecord] = []
+        for doc in docs:
+            try:
+                out.append(RunRecord.from_dict(doc))
+            except (ValueError, KeyError, TypeError):
+                self.corrupt_lines += 1
         return out
 
     def query(self, name: Optional[str] = None,
@@ -301,6 +296,24 @@ class RunHistory:
         """The most recent ``n`` records (optionally for one run name)."""
         return self.query(name=name, limit=n)
 
+    def comparable(self, record: RunRecord, n: int) -> List[RunRecord]:
+        """The newest ``n`` stored records a gate may diff ``record`` against.
+
+        A baseline must share the record's run name and worker count and,
+        when both carry a manifest config (``documents["config"]``), that
+        config too: a ``--workers 2 --fast`` run says nothing about a
+        ``--workers 4`` one.  Records without a config match on name and
+        workers alone.
+        """
+        config = record.documents.get("config")
+        matches = [
+            r for r in self.records()
+            if r.name == record.name and r.workers == record.workers
+            and (config is None
+                 or r.documents.get("config") in (None, config))
+        ]
+        return matches[-n:] if n > 0 else []
+
     # ------------------------------------------------------------------
     def compact(self, keep_last: int = 50) -> int:
         """Retention: keep the newest ``keep_last`` records per run name.
@@ -322,18 +335,7 @@ class RunHistory:
         dropped = len(records) - len(keep)
         if dropped == 0 and self.corrupt_lines == 0:
             return 0
-        directory = os.path.dirname(self.path) or "."
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".jsonl")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                for record in keep:
-                    handle.write(json.dumps(record.to_dict(),
-                                            sort_keys=True) + "\n")
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
+        jsonl.rewrite(self.path, [record.to_dict() for record in keep])
         return dropped
 
 

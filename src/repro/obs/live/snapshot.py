@@ -28,19 +28,17 @@ run through the :class:`~repro.obs.live.alerts.AlertEngine`; alert
 transitions are emitted as ``obs.alert`` events.
 
 :func:`tail_records` is the corrupt-tolerant live reader behind
-``python -m repro.obs tail --follow``: it only parses complete lines
-(a killed writer's torn tail stays buffered, never poisons the stream)
-and counts skipped garbage on ``obs.events.corrupt_lines``.
+``python -m repro.obs tail --follow``: a :mod:`repro.obs.jsonl` scan
+that counts skipped garbage on ``obs.events.corrupt_lines``.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from typing import Iterator, List, Optional
 
+from .. import jsonl
 from ..events import current_run_id, log_event
 from ..history import summarize_metrics
 from ..profile import histogram_percentile
@@ -63,28 +61,22 @@ def build_series(metrics: dict) -> dict:
 
 
 class SnapshotWriter:
-    """Append-only JSONL stream of snapshot documents."""
+    """Append-only JSONL stream of snapshot documents; opening it repairs
+    a torn tail left by a killed writer (see :mod:`repro.obs.jsonl`)."""
 
     def __init__(self, path: str):
         self.path = str(path)
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
         self._lock = threading.Lock()
-        self._handle = open(self.path, "a", encoding="utf-8")
+        jsonl.repair_tail(self.path)
+        jsonl.append(self.path, [])  # create the stream (and directory) now
 
     def append(self, document: dict) -> None:
         """Write one document as a canonical JSON line and flush."""
-        line = json.dumps(document, sort_keys=True)
         with self._lock:
-            self._handle.write(line + "\n")
-            self._handle.flush()
+            jsonl.append(self.path, [document])
 
     def close(self) -> None:
-        """Close the underlying handle (idempotent)."""
-        with self._lock:
-            if not self._handle.closed:
-                self._handle.close()
+        """No-op: every :meth:`append` opens and closes the file itself."""
 
     def __enter__(self) -> "SnapshotWriter":
         return self
@@ -103,47 +95,22 @@ def tail_records(path: str, *, follow: bool = False, poll: float = 0.2,
                  max_seconds: Optional[float] = None) -> Iterator[dict]:
     """Yield JSON records from a (possibly growing) JSONL file.
 
-    Only complete lines are parsed: a torn tail (a writer killed
-    mid-append) stays in the buffer until its newline arrives — or is
-    counted as corrupt at EOF in non-follow mode.  Lines that fail to
-    parse, or parse to a non-object, are skipped and counted on the
-    ``obs.events.corrupt_lines`` counter.  With ``follow=True`` the
-    iterator polls for growth every ``poll`` seconds until
-    ``max_seconds`` elapses (forever when None).
+    A :func:`repro.obs.jsonl.scan` over ``path``: a torn tail (a writer
+    killed mid-append) stays buffered until its newline arrives, and
+    whatever is left unterminated when reading stops is yielded if it
+    parses.  Lines that fail to parse, or parse to a non-object, are
+    skipped and counted on the ``obs.events.corrupt_lines`` counter.
+    With ``follow=True`` the iterator polls for growth every ``poll``
+    seconds until ``max_seconds`` elapses (forever when None).
     """
-    deadline = (time.monotonic() + max_seconds
-                if max_seconds is not None else None)
     corrupt = 0
-    buffer = ""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            while True:
-                chunk = handle.read()
-                if chunk:
-                    buffer += chunk
-                    while "\n" in buffer:
-                        line, buffer = buffer.split("\n", 1)
-                        line = line.strip()
-                        if not line:
-                            continue
-                        try:
-                            record = json.loads(line)
-                        except ValueError:
-                            corrupt += 1
-                            continue
-                        if isinstance(record, dict):
-                            yield record
-                        else:
-                            corrupt += 1
-                    continue
-                if not follow:
-                    break
-                if deadline is not None and time.monotonic() >= deadline:
-                    break
-                time.sleep(poll)
-        if buffer.strip():
-            # A torn final line with no newline: incomplete, not data.
-            corrupt += 1
+        for record in jsonl.scan(path, follow=follow, poll=poll,
+                                 max_seconds=max_seconds):
+            if record is None:
+                corrupt += 1
+            else:
+                yield record
     finally:
         if corrupt:
             get_registry().inc("obs.events.corrupt_lines", corrupt)

@@ -42,7 +42,7 @@ from repro.pipeline.passes import (
     scheduling_pass,
 )
 from repro.pipeline.runner import Pipeline, build_compile_pipeline
-from repro.pipeline.trace import (
+from repro.obs.trace import (
     PassSpan,
     PipelineTrace,
     SpanRecorder,

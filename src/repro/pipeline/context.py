@@ -17,7 +17,7 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.core.characterization.report import CrosstalkReport
 from repro.core.scheduling.xtalk import ScheduledCircuit
 from repro.device.device import Device
-from repro.pipeline.trace import PipelineTrace
+from repro.obs.trace import PipelineTrace
 
 
 @dataclass

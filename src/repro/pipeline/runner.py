@@ -2,9 +2,9 @@
 
 Running a pipeline threads one :class:`PassContext` through its passes in
 order, timing each pass and collecting its counters into a
-:class:`~repro.pipeline.trace.PipelineTrace` that is attached to the
+:class:`~repro.obs.trace.PipelineTrace` that is attached to the
 context (and to the pipeline as ``last_trace``), then emitted to any active
-:class:`~repro.pipeline.trace.TraceCollector`.
+:class:`~repro.obs.trace.TraceCollector`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from repro.obs.events import log_event
 from repro.obs.registry import get_registry
 from repro.pipeline.context import PassContext
 from repro.pipeline.passes import Pass, compile_passes
-from repro.pipeline.trace import PipelineTrace, SpanRecorder
+from repro.obs.trace import PipelineTrace, SpanRecorder
 
 
 class Pipeline:

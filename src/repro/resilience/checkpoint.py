@@ -18,10 +18,9 @@ Resume semantics:
 * corrupted lines — a flipped bit mid-file — are skipped and counted
   (``resilience.checkpoint.corrupt_lines``), never fatal: a damaged
   checkpoint degrades to re-measuring, not to a crash;
-* a **torn tail** — the partial final line a writer killed mid-``append``
-  leaves behind — is repaired at open (``resilience.checkpoint.truncations``):
-  a parseable tail kept and properly newline-terminated, an unparseable
-  one truncated away, so later appends never concatenate with it;
+* a **torn tail** — the partial final line of a writer killed
+  mid-``append`` — is repaired at open by :func:`repro.obs.jsonl.repair_tail`
+  (``resilience.checkpoint.truncations``);
 * duplicate keys keep the *last* record (a retried unit may have been
   appended twice).
 
@@ -32,10 +31,10 @@ uninterrupted report bit for bit.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Any, Dict, Iterator, Optional
 
+from repro.obs import jsonl
 from repro.obs.registry import get_registry
 
 from repro.resilience.errors import CheckpointMismatch
@@ -81,47 +80,21 @@ class JsonlCheckpoint:
         if not os.path.exists(self.path):
             return
         registry = get_registry()
-        with open(self.path, "rb") as handle:
-            data = handle.read()
-        # A writer killed mid-append leaves a torn tail: bytes after the
-        # last newline that are not a complete record.  Appending to such
-        # a file would concatenate the partial record with the next one,
-        # corrupting *both* — so the tail is handled at the byte level
-        # before anything else touches the file: a parseable tail (the
-        # write finished, the newline didn't) is kept and rewritten with
-        # its newline; an unparseable one is truncated away and counted.
-        tail_record = None
-        keep = len(data)
-        if data and not data.endswith(b"\n"):
-            keep = data.rfind(b"\n") + 1  # 0 when no newline at all
-            try:
-                tail_record = json.loads(data[keep:].decode("utf-8"))
-            except (ValueError, TypeError, UnicodeDecodeError):
-                self.corrupt_lines += 1
-                registry.inc("resilience.checkpoint.corrupt_lines")
+        # Repair a killed writer's torn tail before anything else touches
+        # the file, so later appends never concatenate with it.
+        tail = jsonl.repair_tail(self.path)
+        if tail != jsonl.CLEAN:
             registry.inc("resilience.checkpoint.truncations")
-            self._repair_tail(keep, tail_record)
-        records = []
-        for line in data[:keep].splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line.decode("utf-8")))
-            except (ValueError, TypeError, UnicodeDecodeError):
-                self.corrupt_lines += 1
-                registry.inc("resilience.checkpoint.corrupt_lines")
-        if tail_record is not None:
-            records.append(tail_record)
+        records, corrupt = jsonl.read(self.path)
+        if tail == jsonl.CUT:
+            corrupt += 1
         header = records[0] if records else None
-        if (isinstance(header, dict)
-                and header.get("schema") == CHECKPOINT_SCHEMA):
+        if header is not None and header.get("schema") == CHECKPOINT_SCHEMA:
             stored_key = header.get("campaign_key")
             if (self.campaign_key is not None and stored_key is not None
                     and stored_key != self.campaign_key):
                 if on_mismatch == "reset":
                     os.remove(self.path)
-                    self.corrupt_lines = 0
                     return
                 raise CheckpointMismatch(
                     f"checkpoint {self.path!r} belongs to campaign "
@@ -131,32 +104,13 @@ class JsonlCheckpoint:
             records = records[1:]
             self._header_written = True
         for record in records:
-            if (isinstance(record, dict)
-                    and "key" in record and "value" in record):
+            if "key" in record and "value" in record:
                 self._entries[record["key"]] = record["value"]
             else:
-                self.corrupt_lines += 1
-                registry.inc("resilience.checkpoint.corrupt_lines")
-
-    def _repair_tail(self, keep: int, tail_record) -> None:
-        """Rewrite the file without its torn tail.
-
-        ``keep`` is the byte offset just past the last newline-terminated
-        line.  A parseable tail record (the write finished but the
-        newline never landed) is re-appended properly terminated; an
-        unparseable one is simply cut.  Fsynced, so a second crash cannot
-        resurrect the torn bytes.
-        """
-        with open(self.path, "r+b") as handle:
-            handle.truncate(keep)
-            if tail_record is not None:
-                handle.seek(0, os.SEEK_END)
-                handle.write(
-                    (json.dumps(tail_record, sort_keys=True) + "\n")
-                    .encode("utf-8")
-                )
-            handle.flush()
-            os.fsync(handle.fileno())
+                corrupt += 1
+        self.corrupt_lines = corrupt
+        if corrupt:
+            registry.inc("resilience.checkpoint.corrupt_lines", corrupt)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -178,23 +132,15 @@ class JsonlCheckpoint:
         return default
 
     def append(self, key: str, value: Any) -> None:
-        """Persist one completed unit (flushed to disk immediately)."""
+        """Persist one completed unit (fsynced to disk immediately)."""
         self._entries[key] = value
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            if not self._header_written:
-                header = {"schema": CHECKPOINT_SCHEMA}
-                if self.campaign_key is not None:
-                    header["campaign_key"] = self.campaign_key
-                if self.run_id is not None:
-                    header["run_id"] = self.run_id
-                handle.write(json.dumps(header, sort_keys=True) + "\n")
-                self._header_written = True
-            handle.write(
-                json.dumps({"key": key, "value": value}, sort_keys=True)
-                + "\n"
-            )
-            handle.flush()
-            os.fsync(handle.fileno())
+        records = [{"key": key, "value": value}]
+        if not self._header_written:
+            header = {"schema": CHECKPOINT_SCHEMA}
+            if self.campaign_key is not None:
+                header["campaign_key"] = self.campaign_key
+            if self.run_id is not None:
+                header["run_id"] = self.run_id
+            records.insert(0, header)
+        jsonl.append(self.path, records, fsync=True)
+        self._header_written = True

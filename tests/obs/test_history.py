@@ -159,6 +159,34 @@ class TestRunHistory:
             store.append(RunRecord(run_id=f"r{i}", name="a"))
         assert [r.run_id for r in store.last(2)] == ["r3", "r4"]
 
+    def test_comparable_matches_workers_and_config(self, tmp_path):
+        store = RunHistory(str(tmp_path / "h.jsonl"))
+
+        def bench(run_id, workers, config=None):
+            manifest = RunManifest.capture(name="bench", workers=workers,
+                                           config=config)
+            manifest.run_id = run_id
+            return RunRecord.from_artifacts(manifest=manifest.to_dict())
+
+        fast4 = {"fast": True, "cpu_count": 4}
+        store.append(bench("legacy4", 4))        # written before configs
+        store.append(bench("fast4", 4, fast4))
+        store.append(bench("full4", 4, {"fast": False, "cpu_count": 4}))
+        store.append(RunRecord(run_id="other", name="other", workers=2))
+        store.append(bench("fast2", 2, {"fast": True, "cpu_count": 4}))
+
+        run = bench("new", 2, {"fast": True, "cpu_count": 4})
+        assert run.documents["config"] == {"fast": True, "cpu_count": 4}
+        # a workers=2 run is never gated against the workers=4 records
+        assert [r.run_id for r in store.comparable(run, 5)] == ["fast2"]
+        run4 = bench("new4", 4, fast4)
+        assert [r.run_id for r in store.comparable(run4, 5)] == [
+            "legacy4", "fast4"]
+        assert [r.run_id for r in store.comparable(run4, 1)] == ["fast4"]
+        legacy = bench("legacy_run", 4)
+        assert [r.run_id for r in store.comparable(legacy, 5)] == [
+            "legacy4", "fast4", "full4"]
+
     def test_compact_keeps_newest_per_name(self, tmp_path):
         store = RunHistory(str(tmp_path / "h.jsonl"))
         for i in range(6):

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.pipeline.trace import (
+from repro.obs.trace import (
     TRACE_COLLECTION_SCHEMA,
     TRACE_SCHEMA,
     PassSpan,
